@@ -1,5 +1,5 @@
 # Developer entry points. `make check` is the gate for hot-path and
-# networking changes: vet, the race detector over the concurrent packages
+# networking changes: gofmt, vet, the race detector over the concurrent packages
 # (server, client, dist — including the chaos, kill/restart recovery, and
 # lease-timer lifecycle tests), the durability layer (journal store,
 # snapshot rotation), the packages the perf pass touched (billboard, wire),
@@ -28,6 +28,7 @@ test:
 	$(GO) test ./...
 
 check: build
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test -race ./internal/obs/... ./internal/billboard/... ./internal/wire/... ./internal/journal/... ./internal/server/... ./internal/client/... ./internal/dist/...
 	$(GO) test -race -run 'TestChaosServerKillRestart|TestPersist|TestCloseStopsLeaseTimers|TestResumeStopsLeaseTimer' -count=2 ./internal/server ./internal/dist
@@ -46,6 +47,7 @@ fuzz:
 	$(GO) test ./internal/wire -run xxx -fuzz FuzzDecodeRequest -fuzztime 30s
 	$(GO) test ./internal/wire -run xxx -fuzz FuzzDecodeResponse -fuzztime 30s
 	$(GO) test ./internal/journal -run xxx -fuzz FuzzReplay -fuzztime 30s
+	$(GO) test ./internal/journal -run xxx -fuzz FuzzWriteReplayRoundTrip -fuzztime 30s
 
 # Regenerate the recorded benchmark baseline (BENCH_PR2.json). Two passes:
 # a 1-iteration sweep over every benchmark (the experiment benches run a full

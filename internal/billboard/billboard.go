@@ -229,15 +229,24 @@ func (b *Board) Mode() VoteMode { return b.cfg.Mode }
 // reliably tags identity, so a Byzantine player cannot spoof another id —
 // the engine passes the authenticated player id).
 func (b *Board) Post(p Post) error {
+	if err := b.Check(p); err != nil {
+		return err
+	}
+	p.Round = b.round
+	b.pending = append(b.pending, p)
+	b.mPosts.Inc()
+	return nil
+}
+
+// Check reports the error Post would return for p without buffering it,
+// so a caller can validate a batch before committing to any of it.
+func (b *Board) Check(p Post) error {
 	if p.Player < 0 || p.Player >= b.cfg.Players {
 		return fmt.Errorf("billboard: player %d out of range [0, %d)", p.Player, b.cfg.Players)
 	}
 	if p.Object < 0 || p.Object >= b.cfg.Objects {
 		return fmt.Errorf("billboard: object %d out of range [0, %d)", p.Object, b.cfg.Objects)
 	}
-	p.Round = b.round
-	b.pending = append(b.pending, p)
-	b.mPosts.Inc()
 	return nil
 }
 

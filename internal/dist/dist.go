@@ -353,9 +353,9 @@ func (f FlatClusterConfig) Cluster() ClusterConfig {
 
 // ClusterResult aggregates a distributed run.
 type ClusterResult struct {
-	Honest     []*HonestResult
-	Rounds     int // server round count at teardown
-	AllFound   bool
+	Honest   []*HonestResult
+	Rounds   int // server round count at teardown
+	AllFound bool
 	// Departed counts honest players that left via Drive.Dynamics without
 	// finding an object (they also clear AllFound).
 	Departed   int

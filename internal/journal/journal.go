@@ -5,12 +5,17 @@
 // billboard server can recover from a crash without losing a single
 // identity-tagged, timestamped report.
 //
-// Format: length-prefixed frames (uvarint length + gob-encoded entry),
-// each frame self-contained. Self-contained frames make journals safely
-// appendable across process restarts (unlike a single gob stream, whose
-// type dictionary cannot be re-sent), and a torn tail loses at most the
-// final partial frame. Posts are grouped into rounds by marker frames; a
-// round without its marker was never visible to players (the synchrony
+// Format: length-prefixed frames (uvarint length + binary payload), each
+// frame self-contained, so a journal stays appendable across process
+// restarts and a torn tail loses at most the final partial frame. A
+// payload is one record: a kind byte (0x80|kind), then that kind's fields
+// in a fixed order — integers as varints (unsigned for sessions, sequence
+// numbers and terms; zigzag for the rest), a post's Value as 8
+// little-endian IEEE-754 bytes, its Positive flag as one 0/1 byte. No gob
+// message starts with a byte in 0x81..0xf7, so a journal written by the
+// earlier gob-framed format is reported as ErrFormat rather than mistaken
+// for a torn tail. Posts are grouped into rounds by marker frames; a round
+// without its marker was never visible to players (the synchrony
 // contract) and is discarded on rebuild.
 //
 // Write-ahead records (durable restart). Beyond posts and round markers,
@@ -37,68 +42,69 @@ package journal
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/billboard"
 )
 
-// entryKind discriminates journal records.
-type entryKind uint8
+// RecordKind discriminates journal records.
+type RecordKind uint8
 
+// Record kinds: the Writer's vocabulary.
 const (
-	kindPost entryKind = iota + 1
-	kindEndRound
-	kindForceDone
-	kindProbe
-	kindDone
-	kindBarrier
-	kindRollback
-	kindSwarmOpen
-	kindEpoch
+	RecordPost RecordKind = iota + 1
+	RecordEndRound
+	RecordForceDone
+	RecordProbe
+	RecordDone
+	RecordBarrier
+	RecordRollback
+	RecordSwarmOpen
+	RecordEpoch
 )
 
-// entry is one journal record. Session/Seq are zero in journals written
-// before the write-ahead extension; gob decodes old frames with the new
-// fields absent, so both generations replay through the same path. Index
-// and Admits are the sharding extension: a sharded server's lanes journal
-// each post with its global batch index, and round markers carry the
-// round's admitted (player, object) vote pairs so a single lane's journal
-// replays to exactly the votes the global admission pass granted, without
-// consulting the other lanes.
-type entry struct {
-	Kind    entryKind
-	Post    billboard.Post // valid when Kind == kindPost
-	Player  int            // valid for kindForceDone, kindProbe, kindDone, kindBarrier
+// kindTag is set on every payload's kind byte (see the package doc).
+const kindTag = 0x80
+
+// Record is one journal record, as the Writer encodes it and replay
+// decodes it. Index and Admits are the sharding extension: a sharded
+// server's lanes journal each post with its global batch index, and round
+// markers carry the round's admitted (player, object) vote pairs so a
+// single lane's journal replays to exactly the votes the global admission
+// pass granted, without consulting the other lanes.
+type Record struct {
+	Kind    RecordKind
+	Post    billboard.Post // valid when Kind == RecordPost
 	Session uint64         // session the record belongs to (0: none recorded)
 	Seq     uint64         // per-session request sequence number (0: none)
-	Object  int            // valid when Kind == kindProbe
-	Index   int            // valid when Kind == kindPost: client batch order
-	Admits  []Admit        // valid when Kind == kindEndRound on a sharded store
+	Player  int            // valid for force-done, probe, done, barrier, swarm-open
+	Object  int            // valid when Kind == RecordProbe
+	Index   int            // valid when Kind == RecordPost: client batch order
+	Admits  []Admit        // valid when Kind == RecordEndRound on a sharded store
 	// PlayerTo closes the member range [Player, PlayerTo) of a swarm
-	// session (kindSwarmOpen): one session that registered a contiguous
+	// session (RecordSwarmOpen): one session that registered a contiguous
 	// block of players at once. Recovery rebuilds the whole block's
 	// membership from the single record.
 	PlayerTo int
-
 	// Term and Quorum annotate a round marker written by a replicated
-	// coordinator (kindEndRound): the leader term that proposed the round
+	// coordinator (EndRoundQuorum): the leader term that proposed the round
 	// and the number of durable replica acknowledgements (leader included)
-	// the commit waited for. Zero on single-coordinator journals — gob
-	// omits zero fields, so unreplicated journals stay byte-identical.
+	// the commit waited for. Zero on single-coordinator journals.
 	Term   uint64
 	Quorum int
-
-	// Epoch is the sealed epoch number of an epoch marker (kindEpoch),
+	// Epoch is the sealed epoch number of an epoch marker (RecordEpoch),
 	// written by an epoch-mode server adjacent to the round marker that
 	// commits the same posts. Board-neutral on replay: the round markers
 	// alone reconstruct the board, so replication and crash recovery work
 	// unchanged whether the run was paced by barriers or by epochs.
 	Epoch int
+	// Round is the number of round markers read before the record — the
+	// round it belongs to. Set by replay; not stored.
+	Round int
 }
 
 // Admit is one admitted vote pair recorded on a sharded round marker: in
@@ -126,8 +132,9 @@ const (
 	// crashes (kill -9) still lose nothing — written bytes survive the
 	// process — but a machine crash can lose committed rounds.
 	SyncNone
-	// SyncAlways fsyncs after every record: full durability, one disk
-	// flush per probe/post on the hot path.
+	// SyncAlways fsyncs after every write — a single record, or one
+	// request's batch of records: full durability, one disk flush per
+	// request on the hot path.
 	SyncAlways
 )
 
@@ -164,8 +171,7 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 // across Append/EndRound).
 type Writer struct {
 	w      io.Writer
-	buf    bytes.Buffer
-	lenb   [binary.MaxVarintLen64]byte
+	batch  Batch
 	err    error // first write error; subsequent calls fail fast
 	sync   func() error
 	policy SyncPolicy
@@ -173,39 +179,82 @@ type Writer struct {
 
 // NewWriter wraps w.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: w}
+	jw := &Writer{w: w}
+	jw.batch.w = jw
+	return jw
 }
 
 // SetSync installs a sync hook (typically os.File.Sync) invoked per the
-// policy: after every frame (SyncAlways) or after round markers and
-// rollbacks only (SyncCommit). SyncNone never invokes it.
+// policy: after every write (SyncAlways) or after writes holding a round
+// marker or rollback only (SyncCommit). SyncNone never invokes it.
 func (w *Writer) SetSync(sync func() error, policy SyncPolicy) {
 	w.sync, w.policy = sync, policy
 }
 
-func (w *Writer) write(e entry) error {
+// Batch collects the records of one request so they land in a single
+// underlying Write — one syscall and one store-mirror chunk however many
+// records the request journals — followed by at most one sync. The Batch
+// belongs to its Writer and its buffer is reused: it is valid until the
+// next call on that Writer.
+type Batch struct {
+	w      *Writer
+	buf    []byte
+	commit bool // holds a round marker or rollback, which SyncCommit syncs after
+}
+
+// Batch returns the writer's batch, emptied.
+func (w *Writer) Batch() *Batch {
+	w.batch.buf, w.batch.commit = w.batch.buf[:0], false
+	return &w.batch
+}
+
+func (b *Batch) add(r *Record) {
+	b.buf = appendFrame(b.buf, r)
+	b.commit = b.commit || r.Kind == RecordEndRound || r.Kind == RecordRollback
+}
+
+// AppendFrom adds a post record; see Writer.AppendFrom.
+func (b *Batch) AppendFrom(session, seq uint64, post billboard.Post) {
+	b.add(&Record{Kind: RecordPost, Post: post, Session: session, Seq: seq})
+}
+
+// AppendAt adds an indexed post record; see Writer.AppendAt.
+func (b *Batch) AppendAt(session, seq uint64, index int, post billboard.Post) {
+	b.add(&Record{Kind: RecordPost, Post: post, Session: session, Seq: seq, Index: index})
+}
+
+// Probe adds a probe record; see Writer.Probe.
+func (b *Batch) Probe(session, seq uint64, player, object int) {
+	b.add(&Record{Kind: RecordProbe, Session: session, Seq: seq, Player: player, Object: object})
+}
+
+// Done adds a deregistration record; see Writer.Done.
+func (b *Batch) Done(session, seq uint64, player int) {
+	b.add(&Record{Kind: RecordDone, Session: session, Seq: seq, Player: player})
+}
+
+// Write appends the batch's frames in one underlying Write and applies the
+// writer's sync policy once. An empty batch writes nothing.
+func (b *Batch) Write() error { return b.w.flush(b.buf, b.commit) }
+
+func (w *Writer) write(r Record) error {
+	b := w.Batch()
+	b.add(&r)
+	return b.Write()
+}
+
+func (w *Writer) flush(frames []byte, commit bool) error {
 	if w.err != nil {
 		return w.err
 	}
-	w.buf.Reset()
-	// A fresh encoder per frame keeps every frame self-contained, which is
-	// what makes append-after-recovery safe.
-	if err := gob.NewEncoder(&w.buf).Encode(e); err != nil {
+	if len(frames) == 0 {
+		return nil
+	}
+	if _, err := w.w.Write(frames); err != nil {
 		w.err = fmt.Errorf("journal: %w", err)
 		return w.err
 	}
-	n := binary.PutUvarint(w.lenb[:], uint64(w.buf.Len()))
-	if _, err := w.w.Write(w.lenb[:n]); err != nil {
-		w.err = fmt.Errorf("journal: %w", err)
-		return w.err
-	}
-	if _, err := w.w.Write(w.buf.Bytes()); err != nil {
-		w.err = fmt.Errorf("journal: %w", err)
-		return w.err
-	}
-	if w.sync != nil &&
-		(w.policy == SyncAlways ||
-			(w.policy == SyncCommit && (e.Kind == kindEndRound || e.Kind == kindRollback))) {
+	if w.sync != nil && (w.policy == SyncAlways || (w.policy == SyncCommit && commit)) {
 		if err := w.sync(); err != nil {
 			w.err = fmt.Errorf("journal: sync: %w", err)
 			return w.err
@@ -217,26 +266,26 @@ func (w *Writer) write(e entry) error {
 // Append records one committed post with no session attribution (legacy
 // callers); see AppendFrom for the write-ahead form.
 func (w *Writer) Append(post billboard.Post) error {
-	return w.write(entry{Kind: kindPost, Post: post})
+	return w.write(Record{Kind: RecordPost, Post: post})
 }
 
 // AppendFrom records one accepted post under the session and sequence
 // number that produced it, so recovery can rebuild the session's dedup
 // window alongside the board.
 func (w *Writer) AppendFrom(session, seq uint64, post billboard.Post) error {
-	return w.write(entry{Kind: kindPost, Post: post, Session: session, Seq: seq})
+	return w.write(Record{Kind: RecordPost, Post: post, Session: session, Seq: seq})
 }
 
 // AppendAt is AppendFrom plus the post's client batch order index — the
 // write-ahead form used by a sharded lane, where the commit order across
 // lanes is (player, index) rather than single-log arrival order.
 func (w *Writer) AppendAt(session, seq uint64, index int, post billboard.Post) error {
-	return w.write(entry{Kind: kindPost, Post: post, Session: session, Seq: seq, Index: index})
+	return w.write(Record{Kind: RecordPost, Post: post, Session: session, Seq: seq, Index: index})
 }
 
 // EndRound records a round boundary.
 func (w *Writer) EndRound() error {
-	return w.write(entry{Kind: kindEndRound})
+	return w.write(Record{Kind: RecordEndRound})
 }
 
 // EndRoundAdmits records a round boundary carrying the round's admitted
@@ -244,7 +293,7 @@ func (w *Writer) EndRound() error {
 // admissions instead of re-deriving them, which keeps lane replay exact
 // even though the global vote budget was consumed across all lanes.
 func (w *Writer) EndRoundAdmits(admits []Admit) error {
-	return w.write(entry{Kind: kindEndRound, Admits: admits})
+	return w.write(Record{Kind: RecordEndRound, Admits: admits})
 }
 
 // EndRoundQuorum records a round boundary annotated with the replication
@@ -253,27 +302,18 @@ func (w *Writer) EndRoundAdmits(admits []Admit) error {
 // seals every round with this marker; replay treats it exactly like
 // EndRoundAdmits and surfaces the annotation on Record.Term/Quorum.
 func (w *Writer) EndRoundQuorum(admits []Admit, term uint64, quorum int) error {
-	return w.write(entry{Kind: kindEndRound, Admits: admits, Term: term, Quorum: quorum})
+	return w.write(Record{Kind: RecordEndRound, Admits: admits, Term: term, Quorum: quorum})
 }
 
 // AppendEndRoundFrame appends one complete round-marker frame — uvarint
-// length prefix plus gob payload, byte-identical to what EndRoundAdmits
-// (term and quorum zero) or EndRoundQuorum would write — to dst and returns
-// the extended slice. Frames are self-contained (fresh encoder per frame),
-// so a sharded commit encodes its admits marker once and hands the same
-// bytes to every lane's WriteEndRoundFrame instead of re-encoding per lane.
+// length prefix plus payload, byte-identical to what EndRoundAdmits (term
+// and quorum zero) or EndRoundQuorum would write — to dst and returns the
+// extended slice. Frames are self-contained, so a sharded commit encodes
+// its admits marker once and hands the same bytes to every lane's
+// WriteEndRoundFrame instead of re-encoding per lane. Encoding cannot
+// fail; the error result is always nil.
 func AppendEndRoundFrame(dst []byte, admits []Admit, term uint64, quorum int) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(entry{
-		Kind: kindEndRound, Admits: admits, Term: term, Quorum: quorum,
-	}); err != nil {
-		return dst, fmt.Errorf("journal: %w", err)
-	}
-	var lenb [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenb[:], uint64(buf.Len()))
-	dst = append(dst, lenb[:n]...)
-	dst = append(dst, buf.Bytes()...)
-	return dst, nil
+	return appendFrame(dst, &Record{Kind: RecordEndRound, Admits: admits, Term: term, Quorum: quorum}), nil
 }
 
 // WriteEndRoundFrame appends a pre-encoded round-marker frame (from
@@ -281,20 +321,7 @@ func AppendEndRoundFrame(dst []byte, admits []Admit, term uint64, quorum int) ([
 // exactly as EndRoundAdmits would. The frame lands in one underlying Write,
 // so a store mirror tees it as a single chunk.
 func (w *Writer) WriteEndRoundFrame(frame []byte) error {
-	if w.err != nil {
-		return w.err
-	}
-	if _, err := w.w.Write(frame); err != nil {
-		w.err = fmt.Errorf("journal: %w", err)
-		return w.err
-	}
-	if w.sync != nil && w.policy != SyncNone {
-		if err := w.sync(); err != nil {
-			w.err = fmt.Errorf("journal: sync: %w", err)
-			return w.err
-		}
-	}
-	return nil
+	return w.flush(frame, true)
 }
 
 // ForceDone records a barrier-deadline decision: the server deregistered
@@ -302,25 +329,25 @@ func (w *Writer) WriteEndRoundFrame(frame []byte) error {
 // keeps crash recovery consistent — a recovered server refuses to let a
 // force-done player rejoin a run it was already expelled from.
 func (w *Writer) ForceDone(player int) error {
-	return w.write(entry{Kind: kindForceDone, Player: player})
+	return w.write(Record{Kind: RecordForceDone, Player: player})
 }
 
 // Probe records a charged probe before its response is sent — the
 // write-ahead half of the exactly-once billing contract: a probe is
 // charged iff its record is in the journal.
 func (w *Writer) Probe(session, seq uint64, player, object int) error {
-	return w.write(entry{Kind: kindProbe, Session: session, Seq: seq, Player: player, Object: object})
+	return w.write(Record{Kind: RecordProbe, Session: session, Seq: seq, Player: player, Object: object})
 }
 
 // Done records a player's voluntary deregistration.
 func (w *Writer) Done(session, seq uint64, player int) error {
-	return w.write(entry{Kind: kindDone, Session: session, Seq: seq, Player: player})
+	return w.write(Record{Kind: RecordDone, Session: session, Seq: seq, Player: player})
 }
 
 // Barrier records a player's arrival at the round barrier. Buffered like a
 // post: it binds only when the round's marker follows.
 func (w *Writer) Barrier(session, seq uint64, player int) error {
-	return w.write(entry{Kind: kindBarrier, Session: session, Seq: seq, Player: player})
+	return w.write(Record{Kind: RecordBarrier, Session: session, Seq: seq, Player: player})
 }
 
 // Rollback marks that a recovering server discarded the records since the
@@ -328,7 +355,7 @@ func (w *Writer) Barrier(session, seq uint64, player int) error {
 // it by dropping their pending buffers, so posts re-executed after the
 // restart are not double-applied by the next recovery.
 func (w *Writer) Rollback() error {
-	return w.write(entry{Kind: kindRollback})
+	return w.write(Record{Kind: RecordRollback})
 }
 
 // SwarmOpen records the registration of a swarm session: one session that
@@ -336,7 +363,7 @@ func (w *Writer) Rollback() error {
 // registration itself; recovery rebuilds the block's membership and session
 // binding from this single record.
 func (w *Writer) SwarmOpen(session uint64, from, to int) error {
-	return w.write(entry{Kind: kindSwarmOpen, Session: session, Player: from, PlayerTo: to})
+	return w.write(Record{Kind: RecordSwarmOpen, Session: session, Player: from, PlayerTo: to})
 }
 
 // EpochMark records the sealing of one timestamped epoch (epoch-mode
@@ -345,50 +372,11 @@ func (w *Writer) SwarmOpen(session uint64, from, to int) error {
 // it, and recovery of an epoch-mode journal rebuilds the board from the
 // round markers exactly as before.
 func (w *Writer) EpochMark(epoch int) error {
-	return w.write(entry{Kind: kindEpoch, Epoch: epoch})
+	return w.write(Record{Kind: RecordEpoch, Epoch: epoch})
 }
 
 // Err returns the Writer's first write error (nil while healthy).
 func (w *Writer) Err() error { return w.err }
-
-// RecordKind discriminates replayed journal records.
-type RecordKind uint8
-
-// Record kinds, mirroring the Writer's vocabulary.
-const (
-	RecordPost      = RecordKind(kindPost)
-	RecordEndRound  = RecordKind(kindEndRound)
-	RecordForceDone = RecordKind(kindForceDone)
-	RecordProbe     = RecordKind(kindProbe)
-	RecordDone      = RecordKind(kindDone)
-	RecordBarrier   = RecordKind(kindBarrier)
-	RecordRollback  = RecordKind(kindRollback)
-	RecordSwarmOpen = RecordKind(kindSwarmOpen)
-	RecordEpoch     = RecordKind(kindEpoch)
-)
-
-// Record is one decoded journal record. Round is the number of round
-// markers read before it — the round the record belongs to.
-type Record struct {
-	Kind    RecordKind
-	Post    billboard.Post // valid when Kind == RecordPost
-	Session uint64
-	Seq     uint64
-	Player  int     // valid for force-done, probe, done, barrier, swarm-open
-	Object  int     // valid when Kind == RecordProbe
-	Index   int     // valid when Kind == RecordPost: client batch order
-	Admits  []Admit // valid when Kind == RecordEndRound on a sharded store
-	// PlayerTo closes a swarm session's member range [Player, PlayerTo)
-	// (RecordSwarmOpen).
-	PlayerTo int
-	// Term and Quorum surface a replicated round marker's annotation
-	// (EndRoundQuorum); zero on single-coordinator journals.
-	Term   uint64
-	Quorum int
-	// Epoch surfaces an epoch marker's sealed epoch number (RecordEpoch).
-	Epoch int
-	Round int
-}
 
 // Event is an operational decision recorded in the journal alongside posts
 // (today: a barrier-deadline force-done). Round is the round the decision
@@ -402,13 +390,175 @@ type Event struct {
 // rebuilt before the truncation point is still valid.
 var ErrTruncated = errors.New("journal: truncated or corrupt tail")
 
+// ErrFormat marks a complete frame whose payload does not start with a
+// known record kind: a journal written in the earlier gob-framed format,
+// or foreign bytes. Unlike ErrTruncated it is no place to resume from — the
+// frames after it are unreadable, and appending behind them would bury new
+// records — so recovery must refuse to start on it.
+var ErrFormat = errors.New("journal: unknown record format")
+
+// appendFrame appends r to dst as one frame: uvarint payload length, then
+// the payload.
+func appendFrame(dst []byte, r *Record) []byte {
+	start := len(dst)
+	dst = append(dst, 0) // length placeholder: one byte covers payloads under 128
+	dst = appendPayload(dst, r)
+	size := len(dst) - start - 1
+	if size < 0x80 {
+		dst[start] = byte(size)
+		return dst
+	}
+	var lenb [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(lenb[:], uint64(size))
+	dst = append(dst, lenb[1:n]...) // grow by the longer prefix's extra bytes
+	copy(dst[start+n:], dst[start+1:start+1+size])
+	copy(dst[start:], lenb[:n])
+	return dst
+}
+
+func appendPayload(dst []byte, r *Record) []byte {
+	dst = append(dst, kindTag|byte(r.Kind))
+	switch r.Kind {
+	case RecordPost:
+		dst = binary.AppendUvarint(dst, r.Session)
+		dst = binary.AppendUvarint(dst, r.Seq)
+		dst = binary.AppendVarint(dst, int64(r.Index))
+		dst = binary.AppendVarint(dst, int64(r.Post.Player))
+		dst = binary.AppendVarint(dst, int64(r.Post.Object))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Post.Value))
+		positive := byte(0)
+		if r.Post.Positive {
+			positive = 1
+		}
+		dst = append(dst, positive)
+		dst = binary.AppendVarint(dst, int64(r.Post.Round))
+	case RecordEndRound:
+		dst = binary.AppendUvarint(dst, uint64(len(r.Admits)))
+		for _, a := range r.Admits {
+			dst = binary.AppendVarint(dst, int64(a.Player))
+			dst = binary.AppendVarint(dst, int64(a.Object))
+		}
+		dst = binary.AppendUvarint(dst, r.Term)
+		dst = binary.AppendVarint(dst, int64(r.Quorum))
+	case RecordForceDone:
+		dst = binary.AppendVarint(dst, int64(r.Player))
+	case RecordProbe:
+		dst = binary.AppendUvarint(dst, r.Session)
+		dst = binary.AppendUvarint(dst, r.Seq)
+		dst = binary.AppendVarint(dst, int64(r.Player))
+		dst = binary.AppendVarint(dst, int64(r.Object))
+	case RecordDone, RecordBarrier:
+		dst = binary.AppendUvarint(dst, r.Session)
+		dst = binary.AppendUvarint(dst, r.Seq)
+		dst = binary.AppendVarint(dst, int64(r.Player))
+	case RecordSwarmOpen:
+		dst = binary.AppendUvarint(dst, r.Session)
+		dst = binary.AppendVarint(dst, int64(r.Player))
+		dst = binary.AppendVarint(dst, int64(r.PlayerTo))
+	case RecordEpoch:
+		dst = binary.AppendVarint(dst, int64(r.Epoch))
+	}
+	return dst
+}
+
+// decoder reads a payload's fields in order; a short or malformed field
+// marks it bad and reads as zero.
+type decoder struct {
+	b   []byte
+	bad bool
+}
+
+func (d *decoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.bad, d.b = true, nil
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) int() int {
+	v, n := binary.Varint(d.b)
+	if n <= 0 || int64(int(v)) != v {
+		d.bad, d.b = true, nil
+		return 0
+	}
+	d.b = d.b[n:]
+	return int(v)
+}
+
+func (d *decoder) float() float64 {
+	if len(d.b) < 8 {
+		d.bad, d.b = true, nil
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
+	d.b = d.b[8:]
+	return v
+}
+
+func (d *decoder) flag() bool {
+	if len(d.b) == 0 || d.b[0] > 1 {
+		d.bad, d.b = true, nil
+		return false
+	}
+	v := d.b[0] == 1
+	d.b = d.b[1:]
+	return v
+}
+
+// decodeRecord decodes one frame payload. The Admits slice is freshly
+// allocated, so the record may outlive the frame buffer.
+func decodeRecord(p []byte) (Record, error) {
+	k := RecordKind(p[0] &^ kindTag)
+	if p[0]&kindTag == 0 || k < RecordPost || k > RecordEpoch {
+		return Record{}, fmt.Errorf("%w: frame starts with byte %#x, not a record kind", ErrFormat, p[0])
+	}
+	r := Record{Kind: k}
+	d := decoder{b: p[1:]}
+	switch r.Kind {
+	case RecordPost:
+		r.Session, r.Seq, r.Index = d.uvarint(), d.uvarint(), d.int()
+		r.Post.Player, r.Post.Object = d.int(), d.int()
+		r.Post.Value, r.Post.Positive, r.Post.Round = d.float(), d.flag(), d.int()
+	case RecordEndRound:
+		// Every admit takes at least two bytes, which bounds a corrupt count
+		// before it sizes an allocation.
+		if n := d.uvarint(); n > uint64(len(d.b)/2) {
+			d.bad = true
+		} else if n > 0 {
+			r.Admits = make([]Admit, n)
+			for i := range r.Admits {
+				r.Admits[i] = Admit{Player: d.int(), Object: d.int()}
+			}
+		}
+		r.Term, r.Quorum = d.uvarint(), d.int()
+	case RecordForceDone:
+		r.Player = d.int()
+	case RecordProbe:
+		r.Session, r.Seq, r.Player, r.Object = d.uvarint(), d.uvarint(), d.int(), d.int()
+	case RecordDone, RecordBarrier:
+		r.Session, r.Seq, r.Player = d.uvarint(), d.uvarint(), d.int()
+	case RecordSwarmOpen:
+		r.Session, r.Player, r.PlayerTo = d.uvarint(), d.int(), d.int()
+	case RecordEpoch:
+		r.Epoch = d.int()
+	}
+	if d.bad || len(d.b) != 0 {
+		return Record{}, fmt.Errorf("%w: malformed record of kind %d", ErrTruncated, r.Kind)
+	}
+	return r, nil
+}
+
 // ReplayRecords reads a journal and invokes fn for every record, stopping
 // cleanly at EOF. A torn or corrupt tail is reported as ErrTruncated after
-// every complete preceding frame has been delivered. This is the low-level
-// replay; Rebuild/Apply add the round-buffering semantics a billboard
-// needs.
+// every complete preceding frame has been delivered; a frame in an unknown
+// format stops replay with ErrFormat. This is the low-level replay;
+// Rebuild/Apply add the round-buffering semantics a billboard needs.
 func ReplayRecords(r io.Reader, fn func(Record) error) error {
 	br := bufio.NewReader(r)
+	var frame []byte
 	round := 0
 	for {
 		size, err := binary.ReadUvarint(br)
@@ -421,36 +571,22 @@ func ReplayRecords(r io.Reader, fn func(Record) error) error {
 		if size == 0 || size > maxFrame {
 			return fmt.Errorf("%w: implausible frame size %d", ErrTruncated, size)
 		}
-		frame := make([]byte, size)
+		if uint64(cap(frame)) < size {
+			frame = make([]byte, size)
+		}
+		frame = frame[:size]
 		if _, err := io.ReadFull(br, frame); err != nil {
 			return fmt.Errorf("%w: %v", ErrTruncated, err)
 		}
-		var e entry
-		if err := gob.NewDecoder(bytes.NewReader(frame)).Decode(&e); err != nil {
-			return fmt.Errorf("%w: %v", ErrTruncated, err)
+		rec, err := decodeRecord(frame)
+		if err != nil {
+			return err
 		}
-		if e.Kind < kindPost || e.Kind > kindEpoch {
-			return fmt.Errorf("%w: unknown entry kind %d", ErrTruncated, e.Kind)
-		}
-		rec := Record{
-			Kind:     RecordKind(e.Kind),
-			Post:     e.Post,
-			Session:  e.Session,
-			Seq:      e.Seq,
-			Player:   e.Player,
-			Object:   e.Object,
-			Index:    e.Index,
-			Admits:   e.Admits,
-			PlayerTo: e.PlayerTo,
-			Term:     e.Term,
-			Quorum:   e.Quorum,
-			Epoch:    e.Epoch,
-			Round:    round,
-		}
+		rec.Round = round
 		if err := fn(rec); err != nil {
 			return err
 		}
-		if e.Kind == kindEndRound {
+		if rec.Kind == RecordEndRound {
 			round++
 		}
 	}

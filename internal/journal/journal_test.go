@@ -160,7 +160,7 @@ func TestReplayCallbackErrorsPropagate(t *testing.T) {
 func TestAppendAcrossWriters(t *testing.T) {
 	// Two separate Writers appending to the same buffer model a process
 	// restart; one Replay must read both segments (this is why frames are
-	// self-contained rather than one gob stream).
+	// self-contained rather than one stateful stream).
 	cfg := billboard.Config{Players: 2, Objects: 4}
 	var buf bytes.Buffer
 	w1 := NewWriter(&buf)

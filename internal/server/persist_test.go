@@ -352,3 +352,72 @@ func TestResumeStopsLeaseTimer(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPersistPostBatchOneWrite: an unsharded post batch reaches the store
+// as one write however many posts it carries, and an invalid post stops
+// the batch after journaling exactly the valid posts before it.
+func TestPersistPostBatchOneWrite(t *testing.T) {
+	u := plantedUniverse(t)
+	dir := t.TempDir()
+	st, err := journal.OpenStore(dir, journal.SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var chunks [][]byte
+	st.SetMirror(func(p []byte) {
+		mu.Lock()
+		chunks = append(chunks, append([]byte(nil), p...))
+		mu.Unlock()
+	})
+	srv, err := server.New(server.Config{Universe: u, Tokens: []string{"tok"}, Persist: st})
+	if err != nil {
+		st.Close()
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	addr, err := srv.Start("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Dial(addr, 0, "tok")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	posts := func(chunk []byte) int {
+		n := 0
+		if err := journal.ReplayRecords(bytes.NewReader(chunk), func(r journal.Record) error {
+			if r.Kind == journal.RecordPost {
+				n++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		batch   []client.BatchPost
+		wantErr bool
+		journal int
+	}{
+		{[]client.BatchPost{{Object: 1, Value: 1, Positive: true}, {Object: 2}, {Object: 3}, {Object: 4}}, false, 4},
+		{[]client.BatchPost{{Object: 5}, {Object: 6}, {Object: u.M()}, {Object: 7}}, true, 2},
+	} {
+		mu.Lock()
+		chunks = nil
+		mu.Unlock()
+		_, err := c.PostBatch(tc.batch, false)
+		if (err != nil) != tc.wantErr {
+			t.Fatalf("batch %+v: err = %v, want error %v", tc.batch, err, tc.wantErr)
+		}
+		mu.Lock()
+		got := chunks
+		mu.Unlock()
+		if len(got) != 1 || posts(got[0]) != tc.journal {
+			t.Fatalf("batch %+v: %d store writes, want 1 carrying %d posts", tc.batch, len(got), tc.journal)
+		}
+	}
+}

@@ -127,7 +127,7 @@ func TestRecoverFromGarbageRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Garbage that fails on the very first gob frame is ErrTruncated-
+	// Garbage that fails on the very first frame is ErrTruncated-
 	// tolerated (empty prefix); the server comes up with a fresh board.
 	srv, err := server.New(server.Config{
 		Universe: u, Tokens: []string{"t"},

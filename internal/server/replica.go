@@ -172,7 +172,7 @@ type repLog struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	streams []repStream
-	acked   map[int][]int64      // peer → per-stream durably acked position
+	acked   map[int][]int64       // peer → per-stream durably acked position
 	kicks   map[int]chan struct{} // peer → sender wakeup
 	aborted bool
 	ackHist *obs.Histogram

@@ -1182,11 +1182,13 @@ func (s *Server) probeBatchLocked(sess *session, req *wire.Request, charge bool)
 	}
 	if charge && s.cfg.Journal != nil {
 		// Write-ahead, like the single-probe path: a probe is charged iff
-		// its record reached the journal.
+		// its record reached the journal. The whole batch is one write.
+		jb := s.cfg.Journal.Batch()
 		for _, pr := range req.Probes {
-			if err := s.cfg.Journal.Probe(sess.id, req.Seq, pr.Player, pr.Object); err != nil {
-				return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
-			}
+			jb.Probe(sess.id, req.Seq, pr.Player, pr.Object)
+		}
+		if err := jb.Write(); err != nil {
+			return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
 		}
 	}
 	results := make([]wire.ProbeRes, len(req.Probes))
@@ -1205,8 +1207,8 @@ func (s *Server) probeBatchLocked(sess *session, req *wire.Request, charge bool)
 }
 
 // swarmDoneLocked deregisters a batch of swarm members (players that found
-// a good object, or timed out). Journaled per player, like Done;
-// deregistration is idempotent, so a replay is harmless.
+// a good object, or timed out). Journaled per player, like Done, in one
+// write; deregistration is idempotent, so a replay is harmless.
 func (s *Server) swarmDoneLocked(sess *session, req *wire.Request) wire.Response {
 	if !sess.swarm {
 		return wire.Response{Err: "swarm-done requires a swarm session"}
@@ -1218,10 +1220,12 @@ func (s *Server) swarmDoneLocked(sess *session, req *wire.Request) wire.Response
 		}
 	}
 	if s.cfg.Journal != nil {
+		jb := s.cfg.Journal.Batch()
 		for _, p := range req.Players {
-			if err := s.cfg.Journal.Done(sess.id, req.Seq, p); err != nil {
-				return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
-			}
+			jb.Done(sess.id, req.Seq, p)
+		}
+		if err := jb.Write(); err != nil {
+			return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
 		}
 	}
 	for _, p := range req.Players {
@@ -1254,23 +1258,18 @@ func (s *Server) probeLocked(sess *session, seq uint64, obj int) wire.Response {
 	return wire.Response{Value: u.Value(obj), Good: good, Cost: u.Cost(obj), Round: s.round}
 }
 
-// appendPostLocked validates and buffers one post under the given player
-// identity (the authenticated session player, or a validated swarm member),
-// journaling it on acceptance. The journal record carries the session and
-// sequence number so recovery can rebuild the dedup window.
-func (s *Server) appendPostLocked(sess *session, seq uint64, player, object int, value float64, positive bool) error {
+// appendPostLocked validates and buffers one post under the session's
+// player, journaling it first: buffered iff journaled. The journal record
+// carries the session and sequence number so recovery can rebuild the dedup
+// window.
+func (s *Server) appendPostLocked(sess *session, seq uint64, object int, value float64, positive bool) error {
 	if s.sharded() {
 		// Route to the owning lane, stamped with the session's running
 		// index so commit order preserves this player's arrival order.
 		return s.shardAppendLocked(sess, seq, object, value, positive)
 	}
-	post := billboard.Post{
-		Player:   player,
-		Object:   object,
-		Value:    value,
-		Positive: positive,
-	}
-	if err := s.board.Post(post); err != nil {
+	post := billboard.Post{Player: sess.player, Object: object, Value: value, Positive: positive}
+	if err := s.board.Check(post); err != nil {
 		return err
 	}
 	if s.cfg.Journal != nil {
@@ -1278,14 +1277,25 @@ func (s *Server) appendPostLocked(sess *session, seq uint64, player, object int,
 			return fmt.Errorf("journal: %v", err)
 		}
 	}
-	return nil
+	return s.board.Post(post)
 }
 
 func (s *Server) postLocked(sess *session, req *wire.Request) wire.Response {
-	if err := s.appendPostLocked(sess, req.Seq, sess.player, req.Object, req.Value, req.Positive); err != nil {
+	if err := s.appendPostLocked(sess, req.Seq, req.Object, req.Value, req.Positive); err != nil {
 		return wire.Response{Err: err.Error()}
 	}
 	return wire.Response{Round: s.round}
+}
+
+// batchPost is the board post for one batch entry: stamped with the
+// authenticated identity, or on a swarm session with the member the entry
+// names (validated by the caller against the session's range).
+func batchPost(sess *session, p wire.PostMsg) billboard.Post {
+	player := sess.player
+	if sess.swarm {
+		player = p.Player
+	}
+	return billboard.Post{Player: player, Object: p.Object, Value: p.Value, Positive: p.Positive}
 }
 
 // postBatchLocked applies a whole round's posts from one frame, in order,
@@ -1304,18 +1314,14 @@ func (s *Server) postBatchLocked(sess *session, req *wire.Request) wire.Response
 		// is well defined; the primary path's per-session index stamp is not.
 		return wire.Response{Err: "swarm posts on a sharded server go to shard lanes"}
 	}
-	for i, p := range req.Posts {
-		player := sess.player
-		if sess.swarm {
-			if p.Player < sess.player || p.Player >= sess.playerTo {
-				return wire.Response{Err: fmt.Sprintf("batch post %d/%d: player %d outside swarm range [%d, %d)",
-					i+1, len(req.Posts), p.Player, sess.player, sess.playerTo)}
+	if s.sharded() {
+		for i, p := range req.Posts {
+			if err := s.shardAppendLocked(sess, req.Seq, p.Object, p.Value, p.Positive); err != nil {
+				return wire.Response{Err: fmt.Sprintf("batch post %d/%d: %v", i+1, len(req.Posts), err)}
 			}
-			player = p.Player
 		}
-		if err := s.appendPostLocked(sess, req.Seq, player, p.Object, p.Value, p.Positive); err != nil {
-			return wire.Response{Err: fmt.Sprintf("batch post %d/%d: %v", i+1, len(req.Posts), err)}
-		}
+	} else if errMsg := s.boardPostBatchLocked(sess, req); errMsg != "" {
+		return wire.Response{Err: errMsg}
 	}
 	if req.EndRound {
 		if s.cfg.Mode == ModeEpoch {
@@ -1336,6 +1342,39 @@ func (s *Server) postBatchLocked(sess *session, req *wire.Request) wire.Response
 		return s.barrierLocked(sess, req.Seq)
 	}
 	return wire.Response{Round: s.round}
+}
+
+// boardPostBatchLocked is postBatchLocked's unsharded body: validate the
+// posts up to the first invalid one, journal that valid prefix in one
+// write, then buffer it. It returns the error message of the post that
+// stopped the batch (or of the journal write), "" when all were accepted.
+func (s *Server) boardPostBatchLocked(sess *session, req *wire.Request) string {
+	n, errMsg := len(req.Posts), ""
+	for i, p := range req.Posts {
+		if sess.swarm && (p.Player < sess.player || p.Player >= sess.playerTo) {
+			n, errMsg = i, fmt.Sprintf("batch post %d/%d: player %d outside swarm range [%d, %d)",
+				i+1, len(req.Posts), p.Player, sess.player, sess.playerTo)
+			break
+		}
+		if err := s.board.Check(batchPost(sess, p)); err != nil {
+			n, errMsg = i, fmt.Sprintf("batch post %d/%d: %v", i+1, len(req.Posts), err)
+			break
+		}
+	}
+	accepted := req.Posts[:n]
+	if s.cfg.Journal != nil && n > 0 {
+		jb := s.cfg.Journal.Batch()
+		for _, p := range accepted {
+			jb.AppendFrom(sess.id, req.Seq, batchPost(sess, p))
+		}
+		if err := jb.Write(); err != nil {
+			return fmt.Sprintf("journal: %v", err)
+		}
+	}
+	for _, p := range accepted {
+		_ = s.board.Post(batchPost(sess, p)) // validated above
+	}
+	return errMsg
 }
 
 // epochLocked serves one epoch pacing frame (protocol v8, epoch mode): it

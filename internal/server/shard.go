@@ -741,25 +741,19 @@ func (s *Server) lanePostBatch(ln *lane, sess *session, req *wire.Request) wire.
 				i+1, len(req.Posts), p.Player, sess.player, sess.playerTo)}
 		}
 	}
+	// Write-ahead: buffered iff journaled, so a lane restart restores
+	// exactly the acknowledged pending set. The batch is one write.
+	if ln.jw != nil {
+		jb := ln.jw.Batch()
+		for _, p := range req.Posts {
+			jb.AppendAt(sess.id, req.Seq, p.Index, batchPost(sess, p))
+		}
+		if err := jb.Write(); err != nil {
+			return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
+		}
+	}
 	for _, p := range req.Posts {
-		player := sess.player // authenticated identity, not client-claimed
-		if sess.swarm {
-			player = p.Player // validated member of the authenticated range
-		}
-		post := billboard.Post{
-			Player:   player,
-			Object:   p.Object,
-			Value:    p.Value,
-			Positive: p.Positive,
-		}
-		// Write-ahead: buffered iff journaled, so a lane restart restores
-		// exactly the acknowledged pending set.
-		if ln.jw != nil {
-			if err := ln.jw.AppendAt(sess.id, req.Seq, p.Index, post); err != nil {
-				return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
-			}
-		}
-		ln.addPending(stampedPost{post: post, index: p.Index})
+		ln.addPending(stampedPost{post: batchPost(sess, p), index: p.Index})
 		ln.mPosts.Inc()
 	}
 	return wire.Response{Round: int(s.roundA.Load())}

@@ -155,10 +155,10 @@ func (t *transport) backoffWith(src *rng.Source, attempt int) time.Duration {
 // counter, transport state, and backoff jitter. Not safe for concurrent
 // use; each conn is owned by one goroutine at a time.
 type conn struct {
-	t       *transport
-	label   string // for error messages: "group 2", "group 2 lane 1"
-	lane    bool
-	shard   int
+	t        *transport
+	label    string // for error messages: "group 2", "group 2 lane 1"
+	lane     bool
+	shard    int
 	from, to int // the swarm member range this session registers
 
 	session uint64

@@ -108,12 +108,12 @@ type PlayerResult struct {
 
 // Result is a completed swarm run.
 type Result struct {
-	From, To int
-	Players  []PlayerResult // one per player, in player order
-	Rounds   int            // max rounds any player ran
-	Found    int
-	TimedOut int
-	Departed int
+	From, To   int
+	Players    []PlayerResult // one per player, in player order
+	Rounds     int            // max rounds any player ran
+	Found      int
+	TimedOut   int
+	Departed   int
 	MeanProbes float64
 }
 
@@ -148,14 +148,14 @@ func (cfg *Config) applyDefaults() error {
 // playerState is one player's entire footprint in the driver: no goroutine,
 // no connection, no timer — just data the event loop sweeps.
 type playerState struct {
-	src      rng.Source // private stream, rng.New(Seed).Split(player)
-	probes   int32
-	nextIdx  int32 // next sharded post index (client-stamped commit order)
-	rounds   int32
-	active   bool // currently searching (mirrors group membership)
-	found    bool
-	timedOut bool
-	departed bool // left via Dynamics
+	src          rng.Source // private stream, rng.New(Seed).Split(player)
+	probes       int32
+	nextIdx      int32 // next sharded post index (client-stamped commit order)
+	rounds       int32
+	active       bool // currently searching (mirrors group membership)
+	found        bool
+	timedOut     bool
+	departed     bool // left via Dynamics
 	deregistered bool // ReqSwarmDone sent for this player
 }
 
@@ -195,9 +195,9 @@ type driver struct {
 	board *boardReader
 	proto *core.Distill
 
-	n       int  // total players served (server-advertised)
+	n       int // total players served (server-advertised)
 	shards  int
-	epoch   bool // server advertised epoch mode in Hello
+	epoch   bool          // server advertised epoch mode in Hello
 	players []playerState // indexed by player-cfg.From
 	groups  []*group
 
@@ -780,10 +780,10 @@ func (d *driver) collect() *Result {
 	for i := range d.players {
 		st := &d.players[i]
 		pr := PlayerResult{
-			Player: d.cfg.From + i,
-			Probes: int(st.probes),
-			Rounds: int(st.rounds),
-			Found:  st.found,
+			Player:   d.cfg.From + i,
+			Probes:   int(st.probes),
+			Rounds:   int(st.rounds),
+			Found:    st.found,
 			TimedOut: st.timedOut,
 			Departed: st.departed,
 		}
